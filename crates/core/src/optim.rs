@@ -4,10 +4,12 @@
 //! optimizers accept **per-model** hyper-parameters ([`PerModel`]): the
 //! scalar-vector operations of a serial optimizer (e.g. `lr * grad`) become
 //! broadcasted vector-vector operations over the fused parameter's model
-//! axis (paper §3.1, Figure 1). With identical hyper-parameters the fused
-//! update is bit-identical to the serial one.
+//! axis (paper §3.1, Figure 1). Each step runs one single-pass kernel of
+//! [`hfta_tensor::update`] per parameter with one hyper-parameter entry
+//! per lane — the kernels the serial `hfta-nn` optimizers run with one
+//! lane — so every lane's update is bit-identical to its serial model's.
 
-use hfta_tensor::Tensor;
+use hfta_tensor::{update, Tensor};
 
 use crate::error::{FusionError, Result};
 use crate::ops::FusedParameter;
@@ -73,33 +75,6 @@ impl PerModel {
                 found: self.values.len(),
             })
         }
-    }
-
-    /// Broadcasts the vector over a fused parameter's model axis: produces
-    /// a tensor of shape `[dim0, 1, ..., 1]` (rank of the parameter) where
-    /// each model's chunk of axis 0 carries its value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if axis 0 is not divisible by the number of models.
-    pub fn expand_for(&self, param: &FusedParameter) -> Tensor {
-        let v = param.param.value();
-        let dim0 = v.dim(0);
-        let rank = v.rank();
-        drop(v);
-        assert_eq!(param.b, self.values.len(), "array width mismatch");
-        assert_eq!(dim0 % param.b, 0, "axis 0 not divisible by B");
-        let chunk = dim0 / param.b;
-        let mut dims = vec![1usize; rank];
-        dims[0] = dim0;
-        // Pooled output filled in place: this runs once per parameter per
-        // step, so it must not allocate fresh storage at steady state.
-        let mut out = Tensor::zeros(dims);
-        let slice = out.as_mut_slice();
-        for (m, &val) in self.values.iter().enumerate() {
-            slice[m * chunk..(m + 1) * chunk].fill(val);
-        }
-        out
     }
 }
 
@@ -268,20 +243,10 @@ impl FusedSgd {
 impl FusedOptimizer for FusedSgd {
     fn step(&mut self) {
         zero_quarantined_grads(&self.params, &self.quarantined);
-        let plain = self.momentum.values().iter().all(|&m| m == 0.0);
+        let (lr, momentum) = (self.lr.values(), self.momentum.values());
         for (p, v) in self.params.iter().zip(&mut self.velocity) {
-            let g = p.param.grad_cloned();
-            let lr = self.lr.expand_for(p);
-            let update = if plain {
-                g.mul(&lr)
-            } else {
-                // v = momentum * v + g, with per-model momentum.
-                let mom = self.momentum.expand_for(p);
-                *v = v.mul(&mom).add(&g);
-                v.mul(&lr)
-            };
             p.param
-                .update(|value, _| value.add_assign_scaled(&update, -1.0));
+                .update(|value, g| update::sgd(value, g, v, lr, momentum));
         }
     }
 
@@ -393,18 +358,16 @@ impl FusedOptimizer for FusedAdam {
     fn step(&mut self) {
         zero_quarantined_grads(&self.params, &self.quarantined);
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let c = update::AdamStep {
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            t: self.t,
+        };
+        let lr = self.lr.values();
         for ((p, m), v) in self.params.iter().zip(&mut self.m).zip(&mut self.v) {
-            let g = p.param.grad_cloned();
-            m.lerp_assign(&g, self.beta1, 1.0 - self.beta1);
-            v.lerp_assign(&g.square(), self.beta2, 1.0 - self.beta2);
-            let m_hat = m.div_scalar(bc1);
-            let v_hat = v.div_scalar(bc2);
-            let lr = self.lr.expand_for(p);
-            let update = m_hat.div(&v_hat.sqrt().add_scalar(self.eps)).mul(&lr);
             p.param
-                .update(|value, _| value.add_assign_scaled(&update, -1.0));
+                .update(|value, g| update::adam(value, g, m, v, lr, c));
         }
     }
 
@@ -523,26 +486,15 @@ impl FusedAdadelta {
 impl FusedOptimizer for FusedAdadelta {
     fn step(&mut self) {
         zero_quarantined_grads(&self.params, &self.quarantined);
+        let (lr, rho) = (self.lr.values(), self.rho.values());
         for ((p, sq), acc) in self
             .params
             .iter()
             .zip(&mut self.sq_avg)
             .zip(&mut self.acc_delta)
         {
-            let g = p.param.grad_cloned();
-            let rho = self.rho.expand_for(p);
-            let one_minus_rho = rho.neg().add_scalar(1.0);
-            *sq = sq.mul(&rho).add(&g.square().mul(&one_minus_rho));
-            let delta = acc
-                .add_scalar(self.eps)
-                .sqrt()
-                .div(&sq.add_scalar(self.eps).sqrt())
-                .mul(&g);
-            *acc = acc.mul(&rho).add(&delta.square().mul(&one_minus_rho));
-            let lr = self.lr.expand_for(p);
-            let update = delta.mul(&lr);
             p.param
-                .update(|value, _| value.add_assign_scaled(&update, -1.0));
+                .update(|value, g| update::adadelta(value, g, sq, acc, lr, rho, self.eps));
         }
     }
 
@@ -688,19 +640,19 @@ pub fn fused_clip_grad_norm(params: &[FusedParameter], max_norm: f32) -> Vec<f32
     // fused reduction the hfta-scope sentinels use (no per-model slicing).
     let (sq, _) = crate::scope::per_model_grad_sq_norms(params);
     let norms: Vec<f32> = sq.iter().map(|s| s.sqrt()).collect();
-    // Broadcast per-model scale factors over the model axis and rescale.
-    let scales = PerModel::new(
-        norms
-            .iter()
-            .map(|&n| if n > max_norm { max_norm / n } else { 1.0 })
-            .collect(),
-    );
-    if scales.values().iter().any(|&s| s < 1.0) {
-        for p in params {
-            let factor = scales.expand_for(p);
-            let scaled = p.param.grad_cloned().mul(&factor);
-            p.param.zero_grad();
-            p.param.accumulate_grad(&scaled);
+    // Rescale, in place, only the lanes of models over the limit.
+    for (model, &n) in norms.iter().enumerate() {
+        if n > max_norm {
+            let scale = max_norm / n;
+            for p in params {
+                p.param.update_grad(|g| {
+                    let s = g.as_mut_slice();
+                    let chunk = s.len() / p.b;
+                    for v in &mut s[model * chunk..(model + 1) * chunk] {
+                        *v *= scale;
+                    }
+                });
+            }
         }
     }
     norms
@@ -940,18 +892,6 @@ mod tests {
             fused.step();
             h.assert_match(1e-5);
         }
-    }
-
-    #[test]
-    fn expand_for_broadcasts_model_major() {
-        let p = FusedParameter {
-            param: Parameter::new(Tensor::zeros([6, 2, 2]), "w"),
-            b: 3,
-        };
-        let lr = PerModel::new(vec![1.0, 2.0, 3.0]);
-        let e = lr.expand_for(&p);
-        assert_eq!(e.dims(), &[6, 1, 1]);
-        assert_eq!(e.to_vec(), vec![1.0, 1.0, 2.0, 2.0, 3.0, 3.0]);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Optimizers (SGD, Adam, Adadelta) and the StepLR learning-rate scheduler.
 //!
 //! These are the serial counterparts of the fused optimizers in
-//! `hfta-core`; the fused versions must produce bit-identical updates when
-//! all models share the same hyper-parameters.
+//! `hfta-core`: both run the same single-pass kernels of
+//! [`hfta_tensor::update`], a serial optimizer as one lane, so each fused
+//! lane's update is bit-identical to its serial model's.
 
-use hfta_tensor::Tensor;
+use hfta_tensor::{update, Tensor};
 
 use crate::parameter::Parameter;
 
@@ -21,6 +22,19 @@ pub trait Optimizer {
 
     /// Replaces the learning rate (used by schedulers).
     fn set_lr(&mut self, lr: f32);
+
+    /// Number of per-parameter state tensors (SGD: velocity; Adam: first
+    /// and second moments; Adadelta: squared average and accumulated
+    /// delta) — the same slots, in the same order, as the fused
+    /// optimizers of `hfta-core`.
+    fn state_slots(&self) -> usize;
+
+    /// State tensor `slot` of parameter `pi`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pi` or `slot` is out of range.
+    fn state(&self, pi: usize, slot: usize) -> &Tensor;
 }
 
 /// Stochastic gradient descent with optional momentum.
@@ -48,14 +62,7 @@ impl Sgd {
 impl Optimizer for Sgd {
     fn step(&mut self) {
         for (p, v) in self.params.iter().zip(&mut self.velocity) {
-            let g = p.grad_cloned();
-            if self.momentum != 0.0 {
-                // v = momentum * v + g; p -= lr * v  (PyTorch convention).
-                v.lerp_assign(&g, self.momentum, 1.0);
-                p.update(|value, _| value.add_assign_scaled(v, -self.lr));
-            } else {
-                p.update(|value, _| value.add_assign_scaled(&g, -self.lr));
-            }
+            p.update(|value, g| update::sgd(value, g, v, &[self.lr], &[self.momentum]));
         }
     }
 
@@ -71,6 +78,15 @@ impl Optimizer for Sgd {
 
     fn set_lr(&mut self, lr: f32) {
         self.lr = lr;
+    }
+
+    fn state_slots(&self) -> usize {
+        1
+    }
+
+    fn state(&self, pi: usize, slot: usize) -> &Tensor {
+        assert_eq!(slot, 0, "SGD has one state slot (velocity)");
+        &self.velocity[pi]
     }
 }
 
@@ -119,16 +135,14 @@ impl Adam {
 impl Optimizer for Adam {
     fn step(&mut self) {
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let c = update::AdamStep {
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            t: self.t,
+        };
         for ((p, m), v) in self.params.iter().zip(&mut self.m).zip(&mut self.v) {
-            let g = p.grad_cloned();
-            m.lerp_assign(&g, self.beta1, 1.0 - self.beta1);
-            v.lerp_assign(&g.square(), self.beta2, 1.0 - self.beta2);
-            let m_hat = m.div_scalar(bc1);
-            let v_hat = v.div_scalar(bc2);
-            let update = m_hat.div(&v_hat.sqrt().add_scalar(self.eps));
-            p.update(|value, _| value.add_assign_scaled(&update, -self.lr));
+            p.update(|value, g| update::adam(value, g, m, v, &[self.lr], c));
         }
     }
 
@@ -144,6 +158,18 @@ impl Optimizer for Adam {
 
     fn set_lr(&mut self, lr: f32) {
         self.lr = lr;
+    }
+
+    fn state_slots(&self) -> usize {
+        2
+    }
+
+    fn state(&self, pi: usize, slot: usize) -> &Tensor {
+        match slot {
+            0 => &self.m[pi],
+            1 => &self.v[pi],
+            _ => panic!("Adam has two state slots (m, v)"),
+        }
     }
 }
 
@@ -188,15 +214,9 @@ impl Optimizer for Adadelta {
             .zip(&mut self.sq_avg)
             .zip(&mut self.acc_delta)
         {
-            let g = p.grad_cloned();
-            sq.lerp_assign(&g.square(), self.rho, 1.0 - self.rho);
-            let delta = acc
-                .add_scalar(self.eps)
-                .sqrt()
-                .div(&sq.add_scalar(self.eps).sqrt())
-                .mul(&g);
-            acc.lerp_assign(&delta.square(), self.rho, 1.0 - self.rho);
-            p.update(|value, _| value.add_assign_scaled(&delta, -self.lr));
+            p.update(|value, g| {
+                update::adadelta(value, g, sq, acc, &[self.lr], &[self.rho], self.eps)
+            });
         }
     }
 
@@ -212,6 +232,18 @@ impl Optimizer for Adadelta {
 
     fn set_lr(&mut self, lr: f32) {
         self.lr = lr;
+    }
+
+    fn state_slots(&self) -> usize {
+        2
+    }
+
+    fn state(&self, pi: usize, slot: usize) -> &Tensor {
+        match slot {
+            0 => &self.sq_avg[pi],
+            1 => &self.acc_delta[pi],
+            _ => panic!("Adadelta has two state slots (sq_avg, acc_delta)"),
+        }
     }
 }
 
@@ -234,9 +266,7 @@ pub fn clip_grad_norm(params: &[Parameter], max_norm: f32) -> f32 {
     if norm > max_norm {
         let scale = max_norm / norm;
         for p in params {
-            let scaled = p.grad_cloned().mul_scalar(scale);
-            p.zero_grad();
-            p.accumulate_grad(&scaled);
+            p.update_grad(|g| g.map_inplace(|v| v * scale));
         }
     }
     norm

@@ -16,8 +16,8 @@ struct ParamInner {
 ///
 /// Cloning a `Parameter` is cheap and *shares* the underlying storage —
 /// the same slot can be registered on many tapes, and gradients accumulate
-/// into it during [`crate::Var::backward`]. Optimizers read `grad()` and
-/// write back through [`Parameter::update`].
+/// into it during [`crate::Var::backward`]. Optimizers read the gradient
+/// and write the value in one [`Parameter::update`] call.
 ///
 /// # Example
 ///
@@ -112,10 +112,9 @@ impl Parameter {
         inner.grad.add_assign_scaled(g, 1.0);
     }
 
-    /// Zeroes the gradient slot.
+    /// Zeroes the gradient slot in place.
     pub fn zero_grad(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.grad = inner.grad.zeros_like();
+        self.inner.borrow_mut().grad.as_mut_slice().fill(0.0);
     }
 
     /// Applies an in-place update `f(&mut value, &grad)` — the optimizer

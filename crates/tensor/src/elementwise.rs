@@ -211,7 +211,8 @@ impl Tensor {
 
     /// In-place `self += other * alpha` (no broadcasting).
     ///
-    /// The optimizer hot path: avoids allocating for every accumulation.
+    /// The gradient-accumulation hot path: avoids allocating for every
+    /// accumulation.
     ///
     /// # Panics
     ///
@@ -229,25 +230,6 @@ impl Tensor {
             |start, chunk| {
                 for (j, v) in chunk.iter_mut().enumerate() {
                     *v += o[start + j] * alpha;
-                }
-            },
-        );
-    }
-
-    /// In-place elementwise `self = self * a + other * b` (no broadcasting).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn lerp_assign(&mut self, other: &Tensor, a: f32, b: f32) {
-        assert_eq!(self.shape(), other.shape(), "lerp_assign shape mismatch");
-        let o = other.as_slice();
-        hfta_kernels::for_each_chunk_mut(
-            self.as_mut_slice(),
-            crate::tensor::ELEMWISE_GRAIN,
-            |start, chunk| {
-                for (j, v) in chunk.iter_mut().enumerate() {
-                    *v = *v * a + o[start + j] * b;
                 }
             },
         );
@@ -359,8 +341,6 @@ mod tests {
         let mut a = t(vec![1.0, 2.0], &[2]);
         a.add_assign_scaled(&t(vec![10.0, 10.0], &[2]), 0.5);
         assert_eq!(a.to_vec(), vec![6.0, 7.0]);
-        a.lerp_assign(&t(vec![0.0, 0.0], &[2]), 0.5, 0.5);
-        assert_eq!(a.to_vec(), vec![3.0, 3.5]);
     }
 
     #[test]

@@ -37,6 +37,7 @@ pub mod pool;
 mod reduce;
 mod shape;
 mod tensor;
+pub mod update;
 
 pub use error::{Result, TensorError};
 pub use init::Rng;
